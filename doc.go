@@ -69,7 +69,7 @@
 // transport-agnostic core, internal/service: typed requests and views for
 // every operation, typed errors (ErrNotFound, ErrFull, ErrBadInput,
 // BatchError with its partial-accept count, StorageError for durable-tier
-// failures), the two-tier session store, the shared worker budget,
+// failures), the session registry, the shared worker budget,
 // reservation-based load shedding, TTL eviction and graceful close. The
 // layers above it are deliberately thin:
 //
@@ -101,7 +101,7 @@
 //
 //	POST answers          dirty hook    ┌────────────────┐  append (+fsync)
 //	──────▶ live session ──────────────▶│ async persister│─────────────────▶ <data-dir>/sessions/<id>/
-//	         (memory tier)              └────────────────┘  every N answers:    ├─ snapshot.json
+//	         (resident entry)           └────────────────┘  every N answers:    ├─ snapshot.json
 //	            ▲   │                                       compact WAL into    └─ wal.log (CRC-framed,
 //	            │   │ idle TTL: persist, then release       a fresh snapshot       seq-numbered answers)
 //	   lazy     │   ▼

@@ -8,16 +8,13 @@ import (
 	"crowdtopk/internal/session"
 )
 
-// memShards is the fixed shard count of the in-memory store. 32 shards keep
-// lock contention negligible for the session counts one process serves while
-// costing a few hundred bytes when idle.
+// memShards is the fixed shard count of the in-memory store.
 const memShards = 32
 
-// Memory is the sharded in-memory Store: the serving layer's live-session
-// table (its cache tier over a durable backend) and the sole store of
-// memory-only deployments, where sessions deliberately die with the process.
-// All methods are safe for concurrent use; operations on distinct ids in
-// distinct shards do not contend.
+// Memory is a sharded in-memory Store: the fake backend the torture and
+// fault tests wrap when they exercise the Store contract without touching
+// the filesystem. Nothing survives the process. All methods are safe for
+// concurrent use.
 type Memory struct {
 	shards [memShards]memShard
 	closed sync.Once

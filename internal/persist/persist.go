@@ -1,22 +1,18 @@
 // Package persist gives query sessions a durable, pluggable home. The
-// serving layer (internal/server) holds live sessions in memory; a Store is
+// serving layer (internal/service) holds live sessions in memory; a Store is
 // where they go to survive idle eviction, graceful shutdowns and crashes.
 //
-// Two backends implement the Store interface:
-//
-//   - Memory: a sharded in-process map. Nothing survives the process; it is
-//     the cache tier the server always runs, and a standalone store for
-//     tests and memory-only deployments.
-//   - File: one directory per session holding a periodic full snapshot (the
-//     session checkpoint envelope from internal/session, reused verbatim)
-//     plus an append-only, CRC-framed write-ahead log of the answers
-//     accepted since that snapshot. Put appends the answer delta and
-//     compacts into a fresh snapshot every SnapshotEvery answers; Get
-//     restores the snapshot and replays the WAL tail through the session's
-//     own SubmitAnswer transition, so a recovered session is
-//     indistinguishable from one that never went down. A torn final record
-//     (the crash landed mid-append) is dropped and the log truncated;
-//     corruption anywhere else fails loudly with a *CorruptError.
+// File is the production backend: one directory per session holding a
+// periodic full snapshot (the session checkpoint envelope from
+// internal/session, reused verbatim) plus an append-only, CRC-framed
+// write-ahead log of the answers accepted since that snapshot. Put appends
+// the answer delta and compacts into a fresh snapshot every SnapshotEvery
+// answers; Get restores the snapshot and replays the WAL tail through the
+// session's own SubmitAnswer transition, so a recovered session is
+// indistinguishable from one that never went down. A torn final record (the
+// crash landed mid-append) is dropped and the log truncated; corruption
+// anywhere else fails loudly with a *CorruptError. FaultStore wraps any
+// Store with injected failures for robustness tests.
 //
 // The design follows the usual WAL discipline (etcd's wal, OPA's disk
 // store): length+CRC framing per record, monotonically increasing sequence

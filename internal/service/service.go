@@ -5,11 +5,12 @@
 // typed request/response structs and typed errors, with no notion of HTTP.
 //
 // The Service owns everything a long-running deployment needs regardless of
-// how requests arrive: the two-tier session store (live in-memory cache over
-// an optional durable persist.Store, with asynchronous write-behind, lazy
-// hydration and TTL eviction-to-disk), the process-wide par.Budget worker
-// pool shared by all sessions' tree builds, reservation-before-build load
-// shedding, and graceful close (drain the persister, flush, release).
+// how requests arrive: the session registry (one entry map whose resident
+// sessions cache an optional durable persist.Store, with asynchronous
+// write-behind, lazy hydration and TTL eviction-to-disk), the process-wide
+// par.Budget worker pool shared by all sessions' tree builds,
+// reservation-before-build load shedding, and graceful close (drain the
+// persister, flush, release).
 //
 // Transports are thin codecs over this core: internal/server decodes HTTP
 // requests into these calls and encodes the results (mapping the typed
@@ -612,6 +613,7 @@ func (s *Service) Questions(ctx context.Context, id string, n int) (QuestionsVie
 	if err != nil {
 		return QuestionsView{}, err
 	}
+	defer s.store.release(id)
 	qs, st, err := sess.NextQuestions(n)
 	if err != nil {
 		return QuestionsView{}, err
@@ -644,6 +646,7 @@ func (s *Service) Answers(ctx context.Context, id string, answers []Answer) (Ans
 	if err != nil {
 		return AnswersView{}, err
 	}
+	defer s.store.release(id)
 	if len(answers) == 0 {
 		return AnswersView{}, fmt.Errorf("%w: no answers in request", ErrBadInput)
 	}
@@ -761,6 +764,7 @@ func (s *Service) Result(ctx context.Context, id string) (ResultView, error) {
 	if err != nil {
 		return ResultView{}, err
 	}
+	defer s.store.release(id)
 	_, rsp := obs.StartSpan(ctx, "session.result")
 	res := sess.Result()
 	rsp.End()
@@ -793,6 +797,7 @@ func (s *Service) Checkpoint(ctx context.Context, id string, w io.Writer) error 
 	if err != nil {
 		return err
 	}
+	defer s.store.release(id)
 	_, csp := obs.StartSpan(ctx, "session.checkpoint")
 	defer csp.End()
 	return sess.Checkpoint(w)
@@ -823,26 +828,23 @@ func (s *Service) List(limit int) ListView {
 	if limit < 1 {
 		limit = DefaultListLimit
 	}
-	items, total := s.store.list(limit)
+	rows, total := s.store.list(limit)
 	out := ListView{Sessions: []ListEntry{}, Total: total}
-	for _, it := range items {
+	now := time.Now()
+	for _, r := range rows {
 		e := ListEntry{
-			ID:           it.id,
-			IdleSeconds:  it.idle.Seconds(),
-			Persisted:    it.persisted,
-			Hydrated:     it.hydrated,
-			PersistError: it.persistErr,
+			ID:           r.id,
+			IdleSeconds:  now.Sub(r.lastUsed).Seconds(),
+			Persisted:    r.persisted,
+			Hydrated:     r.sess != nil,
+			PersistError: r.lastErr,
 		}
-		if it.quarantined {
+		if r.quarantined {
 			e.State = StateQuarantined
-			e.QuarantineReason = it.quarReason
+			e.QuarantineReason = r.quarantineReason
 		}
-		// The session object was captured inside the store's listing
-		// snapshot; resolving the id again here would race concurrent
-		// deletes and evictions into rows marked hydrated but carrying no
-		// state.
-		if it.sess != nil {
-			st := it.sess.Status()
+		if r.sess != nil {
+			st := r.sess.Status()
 			e.State = st.State
 			e.Asked = st.Asked
 			e.Pending = st.Pending

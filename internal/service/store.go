@@ -24,14 +24,23 @@ var ErrNotFound = errors.New("service: no such session")
 // ErrFull reports that the store is at its session capacity.
 var ErrFull = errors.New("service: session limit reached")
 
-// meta is the store's bookkeeping for one known session — live or resident
-// only in the durable backend. All fields are guarded by store.mu; the
-// session itself lives in the memory tier and serializes its own
-// transitions.
-type meta struct {
+// entry is the store's record of one known session, resident or on disk
+// only. All fields are guarded by store.mu; the session itself serializes
+// its own transitions.
+type entry struct {
+	id string
+	// sess is the resident session object; nil means the session lives only
+	// in the durable backend (or is quarantined).
+	sess *session.Session
+	// pins counts operations currently holding sess (taken by get, dropped
+	// by release). Eviction skips pinned entries, so an operation never
+	// answers on an object the registry has let go.
+	pins int
+	// loading is closed when the in-flight hydration of this entry ends
+	// (nil: none), so concurrent misses wait instead of rebuilding the tree
+	// twice.
+	loading  chan struct{}
 	lastUsed time.Time
-	// hydrated: the session object is in the memory tier.
-	hydrated bool
 	// persisted: a durable copy exists (possibly stale while dirty).
 	persisted bool
 	// dirtyGen counts accepted answers (and other persist-worthy events);
@@ -49,22 +58,27 @@ type meta struct {
 	quarantineReason string
 }
 
-// store layers the server's session registry over the persist subsystem:
-// live sessions sit in a sharded in-memory tier (persist.Memory), and — when
-// a durable backend is configured — every accepted answer is asynchronously
-// appended to it, idle sessions are evicted to it instead of dropped, and
-// misses hydrate from it lazily. Without a durable backend the behavior is
-// exactly the pre-persistence server: TTL eviction drops sessions for good.
+// dirty reports whether a resident session has state the durable backend
+// does not hold yet.
+func (e *entry) dirty() bool {
+	return e.sess != nil && (!e.persisted || e.dirtyGen > e.persistedGen)
+}
+
+// store is the server's session registry: one map of entries under one
+// lock, each holding its session object while resident. When a durable
+// backend is configured, every accepted answer is asynchronously appended
+// to it, idle sessions are evicted to it instead of dropped, and misses
+// hydrate from it lazily. Without a durable backend the behavior is exactly
+// the pre-persistence server: TTL eviction drops sessions for good.
 type store struct {
 	ttl          time.Duration
 	max          int
 	log          *slog.Logger
 	closeTimeout time.Duration // bound on the shutdown drain
 
-	live *persist.Memory // hydrated sessions (the cache tier)
-	disk persist.Store   // nil in memory-only mode
-	bg   *persister      // nil in memory-only mode
-	brk  *breaker        // nil in memory-only mode
+	disk persist.Store // nil in memory-only mode
+	bg   *persister    // nil in memory-only mode
+	brk  *breaker      // nil in memory-only mode
 
 	// bootScanned flips once the durable backend's id scan completed (true
 	// from construction in memory-only mode); persistFailing tracks whether
@@ -72,11 +86,10 @@ type store struct {
 	bootScanned    atomic.Bool
 	persistFailing atomic.Bool
 
-	mu        sync.Mutex
-	meta      map[string]*meta
-	hydrating map[string]chan struct{} // singleflight per hydrating id
-	reserved  int                      // capacity claimed by creates still building
-	hydrated  int                      // count of meta entries with hydrated=true
+	mu       sync.Mutex
+	entries  map[string]*entry
+	reserved int // capacity claimed by creates still building
+	resident int // count of entries with a session object
 
 	evictions        atomic.Uint64 // sessions moved memory → disk by the janitor
 	evictionsRefused atomic.Uint64 // evictions refused to protect unpersisted answers
@@ -107,10 +120,8 @@ func newStore(ttl time.Duration, max int, disk persist.Store, log *slog.Logger,
 		max:          max,
 		log:          log,
 		closeTimeout: closeTimeout,
-		live:         persist.NewMemory(),
 		disk:         disk,
-		meta:         make(map[string]*meta),
-		hydrating:    make(map[string]chan struct{}),
+		entries:      make(map[string]*entry),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
@@ -137,10 +148,10 @@ func newStore(ttl time.Duration, max int, disk persist.Store, log *slog.Logger,
 		}
 		now := time.Now()
 		for _, id := range ids {
-			s.meta[id] = &meta{lastUsed: now, persisted: true}
+			s.entries[id] = &entry{id: id, lastUsed: now, persisted: true}
 		}
 		for _, q := range quarantined {
-			s.meta[q.ID] = &meta{lastUsed: now, quarantined: true, quarantineReason: q.Reason}
+			s.entries[q.ID] = &entry{id: q.ID, lastUsed: now, quarantined: true, quarantineReason: q.Reason}
 		}
 		s.brk = newBreaker(func(from, to breakerState) {
 			s.log.Warn("store: durable-tier breaker transition", "from", string(from), "to", string(to))
@@ -169,11 +180,11 @@ func newID() (string, error) {
 // reserve claims capacity for a session about to be built, so load shedding
 // happens before the expensive tree construction rather than after it. The
 // reservation is consumed by add or returned with unreserve. Capacity
-// bounds hydrated (in-memory) sessions: disk residency is not load.
+// bounds resident (in-memory) sessions: disk residency is not load.
 func (s *store) reserve() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.max > 0 && s.hydrated+s.reserved >= s.max {
+	if s.max > 0 && s.resident+s.reserved >= s.max {
 		return ErrFull
 	}
 	s.reserved++
@@ -192,27 +203,15 @@ func (s *store) unreserve() {
 // session is queued for its initial snapshot right away.
 func (s *store) add(sess *session.Session) (string, error) {
 	id, err := newID()
-	now := time.Now()
 	s.mu.Lock()
 	s.reserved--
 	if err != nil {
 		s.mu.Unlock()
 		return "", err
 	}
-	s.meta[id] = &meta{lastUsed: now, hydrated: true, dirtyGen: 1}
-	s.hydrated++
+	s.entries[id] = &entry{id: id, sess: sess, lastUsed: time.Now(), dirtyGen: 1}
+	s.resident++
 	s.mu.Unlock()
-	if err := s.live.Put(id, sess); err != nil {
-		// Roll the registration back: a meta entry without a live session
-		// would hold a MaxSessions slot forever.
-		s.mu.Lock()
-		if m := s.meta[id]; m != nil && m.hydrated {
-			s.hydrated--
-		}
-		delete(s.meta, id)
-		s.mu.Unlock()
-		return "", err
-	}
 	s.watch(id, sess)
 	if s.bg != nil {
 		s.bg.enqueue(id) // initial snapshot: durable before the first answer
@@ -229,42 +228,18 @@ func (s *store) watch(id string, sess *session.Session) {
 	sess.SetDirtyHook(func() { s.markDirty(id, sess) })
 }
 
-// markDirty records an accepted answer on sess. The session reference
-// matters: a request handler can hold a session across a TTL eviction and
-// still accept an answer on it — the answer was acked, so the store
-// re-attaches the very object that accepted it rather than letting the
-// write vanish with an unreachable pointer. A deleted session (meta gone)
-// stays deleted.
+// markDirty records an accepted answer on sess. Answers arrive through
+// operations that pin the entry, so sess is the resident object; a hook
+// firing on anything else (a deleted session, or an object the registry no
+// longer holds) has nothing to persist.
 func (s *store) markDirty(id string, sess *session.Session) {
 	s.mu.Lock()
-	m := s.meta[id]
-	if m == nil {
+	e := s.entries[id]
+	if e == nil || e.sess != sess {
 		s.mu.Unlock()
 		return
 	}
-	m.dirtyGen++
-	cur, err := s.live.Get(id)
-	if err != nil || cur != sess {
-		// The handler outlived sess's residency: a TTL eviction released it
-		// (err != nil), or a lazy hydration raced this answer and re-loaded
-		// the older disk copy under the same id (cur != sess) — a fork.
-		// Either way the resident object is missing the answer that was just
-		// acked on sess, and the durable write this call queues would persist
-		// a copy without it. Re-attach sess — unless the resident fork has
-		// itself accepted strictly more answers, in which case the lines
-		// cannot be merged and we keep the one holding more acked progress
-		// (ties favor sess: in the eviction→hydration race the disk copy cur
-		// was loaded from is a prefix of sess's history).
-		if err != nil || sess.Status().Asked >= cur.Status().Asked {
-			if perr := s.live.Put(id, sess); perr == nil {
-				if !m.hydrated {
-					m.hydrated = true
-					s.hydrated++
-				}
-				m.lastUsed = time.Now()
-			}
-		}
-	}
+	e.dirtyGen++
 	s.mu.Unlock()
 	s.bg.enqueue(id)
 }
@@ -276,21 +251,13 @@ func (s *store) markDirty(id string, sess *session.Session) {
 // return also covers "nothing to do".
 func (s *store) persistOne(id string) error {
 	s.mu.Lock()
-	m := s.meta[id]
-	if m == nil || !m.hydrated || m.quarantined {
+	e := s.entries[id]
+	if e == nil || e.quarantined || !e.dirty() {
 		s.mu.Unlock()
 		return nil
 	}
-	gen := m.dirtyGen
-	if m.persisted && gen == m.persistedGen {
-		s.mu.Unlock()
-		return nil
-	}
+	gen, sess := e.dirtyGen, e.sess
 	s.mu.Unlock()
-	sess, err := s.live.Get(id)
-	if err != nil {
-		return nil // evicted or deleted in the window
-	}
 	if err := s.disk.Put(id, sess); err != nil {
 		// The answers are still live in memory; the persister retries with
 		// backoff until the write lands, so a transient disk error heals
@@ -299,66 +266,55 @@ func (s *store) persistOne(id string) error {
 		s.persistFailing.Store(true)
 		s.log.Warn("store: durable write failed", "session", id, "error", err)
 		s.mu.Lock()
-		if m2 := s.meta[id]; m2 != nil {
-			m2.lastErr = err.Error()
-		}
+		e.lastErr = err.Error()
 		s.mu.Unlock()
 		return err
 	}
 	s.persistFailing.Store(false)
 	s.mu.Lock()
-	if m2 := s.meta[id]; m2 != nil {
-		m2.persisted = true
-		m2.lastErr = ""
-		if m2.persistedGen < gen {
-			m2.persistedGen = gen
-		}
+	e.persisted = true
+	e.lastErr = ""
+	if e.persistedGen < gen {
+		e.persistedGen = gen
 	}
 	s.mu.Unlock()
 	return nil
 }
 
-// get returns the session and refreshes its TTL, lazily hydrating from the
-// durable backend when the session is not in memory (evicted, or created by
-// a previous process).
+// get returns the session pinned for one operation and refreshes its TTL,
+// lazily hydrating from the durable backend when the session is not in
+// memory (evicted, or created by a previous process). Every successful get
+// must be paired with a release once the operation is done with the session.
 func (s *store) get(ctx context.Context, id string) (*session.Session, error) {
 	for {
 		s.mu.Lock()
-		m := s.meta[id]
-		if m != nil && m.quarantined {
-			reason := m.quarantineReason
-			s.mu.Unlock()
-			return nil, &QuarantinedError{ID: id, Reason: reason}
-		}
-		if m != nil && m.hydrated {
-			m.lastUsed = time.Now()
-			s.mu.Unlock()
-			sess, err := s.live.Get(id)
-			if err != nil {
-				if s.disk != nil {
-					continue // a remove/evict won the window; retry resolves it
-				}
-				return nil, ErrNotFound
-			}
-			return sess, nil
-		}
+		e := s.entries[id]
 		// Unknown ids are misses even with a durable backend: the boot scan
 		// registered every persisted session, so there is nothing to probe
 		// the disk for (and probing on arbitrary ids would let clients turn
 		// 404s into disk reads).
-		if m == nil || s.disk == nil {
+		if e == nil {
 			s.mu.Unlock()
 			return nil, ErrNotFound
 		}
-		// Hydration singleflight: wait for an in-flight load of the same id
-		// rather than rebuilding the tree twice.
-		if ch, ok := s.hydrating[id]; ok {
+		if e.quarantined {
+			reason := e.quarantineReason
+			s.mu.Unlock()
+			return nil, &QuarantinedError{ID: id, Reason: reason}
+		}
+		if sess := e.sess; sess != nil {
+			e.pins++
+			e.lastUsed = time.Now()
+			s.mu.Unlock()
+			return sess, nil
+		}
+		if ch := e.loading; ch != nil {
 			s.mu.Unlock()
 			<-ch
 			continue
 		}
 		ch := make(chan struct{})
-		s.hydrating[id] = ch
+		e.loading = ch
 		s.mu.Unlock()
 
 		// The hydration span covers the durable read, WAL replay and tree
@@ -370,24 +326,33 @@ func (s *store) get(ctx context.Context, id string) (*session.Session, error) {
 		hsp.End()
 
 		s.mu.Lock()
-		delete(s.hydrating, id)
+		e.loading = nil
 		s.mu.Unlock()
 		close(ch)
 		return sess, err
 	}
 }
 
-// hydrate loads one session from the durable backend into the memory tier.
-// Runs outside s.mu (recovery rebuilds the tree); the caller holds the
-// singleflight slot for id.
+// release drops the pin a successful get took.
+func (s *store) release(id string) {
+	s.mu.Lock()
+	if e := s.entries[id]; e != nil && e.pins > 0 {
+		e.pins--
+		e.lastUsed = time.Now()
+	}
+	s.mu.Unlock()
+}
+
+// hydrate loads one session from the durable backend and makes it resident,
+// pinned for the caller. Runs outside s.mu (recovery rebuilds the tree); the
+// caller owns the entry's loading slot, so nothing else can make the entry
+// resident meanwhile.
 func (s *store) hydrate(id string) (*session.Session, error) {
 	sess, err := s.disk.Get(id)
 	if errors.Is(err, persist.ErrNotFound) {
 		s.hydraMisses.Add(1)
 		s.mu.Lock()
-		if m := s.meta[id]; m != nil && !m.hydrated {
-			delete(s.meta, id) // the backend lost it out from under us
-		}
+		delete(s.entries, id) // the backend lost it out from under us
 		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
@@ -404,33 +369,19 @@ func (s *store) hydrate(id string) (*session.Session, error) {
 		return nil, &StorageError{Op: "hydrating session " + id, Err: err}
 	}
 	s.mu.Lock()
-	m := s.meta[id]
-	if m == nil {
+	e := s.entries[id]
+	if e == nil {
 		// Deleted while we were loading: the DELETE was acknowledged, so
 		// the disk copy we just read must not come back to life.
 		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	if m.hydrated {
-		// Re-attached while we were loading (markDirty on an in-flight
-		// answer): the live object is strictly newer than the disk copy we
-		// read — keep it.
-		s.mu.Unlock()
-		live, lerr := s.live.Get(id)
-		if lerr != nil {
-			return nil, ErrNotFound // gone again already; client retries
-		}
-		return live, nil
-	}
-	if err := s.live.Put(id, sess); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	m.hydrated = true
-	s.hydrated++
-	m.persisted = true
-	m.persistedGen = m.dirtyGen // the restored state is durable by definition
-	m.lastUsed = time.Now()
+	e.sess = sess
+	e.pins++
+	s.resident++
+	e.persisted = true
+	e.persistedGen = e.dirtyGen // the restored state is durable by definition
+	e.lastUsed = time.Now()
 	s.mu.Unlock()
 	s.watch(id, sess)
 	s.hydraHits.Add(1)
@@ -439,8 +390,8 @@ func (s *store) hydrate(id string) (*session.Session, error) {
 }
 
 // quarantine moves a corrupt session's durable data out of the serving path
-// (when the backend supports it) and marks its meta entry quarantined, so
-// the id stops 500ing on every hydration and is listed with a typed reason
+// (when the backend supports it) and marks its entry quarantined, so the id
+// stops 500ing on every hydration and is listed with a typed reason
 // instead. Returns the error to serve, or nil when the backend cannot
 // quarantine (the caller falls back to a plain storage error).
 func (s *store) quarantine(id string, cause error) error {
@@ -454,11 +405,11 @@ func (s *store) quarantine(id string, cause error) error {
 		return nil
 	}
 	s.mu.Lock()
-	if m := s.meta[id]; m != nil && !m.hydrated {
-		m.quarantined = true
-		m.quarantineReason = reason
-		m.persisted = false
-		m.lastErr = ""
+	if e := s.entries[id]; e != nil {
+		e.quarantined = true
+		e.quarantineReason = reason
+		e.persisted = false
+		e.lastErr = ""
 	}
 	s.mu.Unlock()
 	s.quarantines.Add(1)
@@ -471,28 +422,27 @@ func (s *store) quarantine(id string, cause error) error {
 // existed.
 func (s *store) remove(id string) bool {
 	s.mu.Lock()
-	m := s.meta[id]
-	if m == nil {
+	e := s.entries[id]
+	if e == nil {
 		s.mu.Unlock()
 		return false
 	}
-	if m.hydrated {
-		s.hydrated--
+	if e.sess != nil {
+		s.resident--
 	}
-	delete(s.meta, id)
+	delete(s.entries, id)
 	s.mu.Unlock()
-	_ = s.live.Delete(id)
 	if s.disk != nil {
 		_ = s.disk.Delete(id) // ErrNotFound fine: never persisted yet
 	}
 	return true
 }
 
-// len returns the number of live (in-memory) sessions.
+// len returns the number of resident (in-memory) sessions.
 func (s *store) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.hydrated
+	return s.resident
 }
 
 // known returns the number of sessions the store can serve, including those
@@ -500,7 +450,7 @@ func (s *store) len() int {
 func (s *store) known() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.meta)
+	return len(s.entries)
 }
 
 // saturated reports whether the store is at its live-session capacity —
@@ -508,29 +458,26 @@ func (s *store) known() int {
 func (s *store) saturated() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.max > 0 && s.hydrated+s.reserved >= s.max
+	return s.max > 0 && s.resident+s.reserved >= s.max
 }
 
-// stateCounts tallies live sessions by lifecycle state (plus "disk" for
+// stateCounts tallies resident sessions by lifecycle state (plus "disk" for
 // sessions resident only in the durable backend) for the session-state
-// gauges. It snapshots the live set under s.mu, then reads each session's
-// state outside it: Status takes the session's own lock, and a session
-// mid-answer would otherwise stall every scrape.
+// gauges. It snapshots the resident set under s.mu, then reads each
+// session's state outside it: Status takes the session's own lock, and a
+// session mid-answer would otherwise stall every scrape.
 func (s *store) stateCounts() map[string]int {
 	s.mu.Lock()
-	sessions := make([]*session.Session, 0, s.hydrated)
+	sessions := make([]*session.Session, 0, s.resident)
 	disk, quarantined := 0, 0
-	for id, m := range s.meta {
-		if m.quarantined {
+	for _, e := range s.entries {
+		switch {
+		case e.quarantined:
 			quarantined++
-			continue
-		}
-		if !m.hydrated {
+		case e.sess == nil:
 			disk++
-			continue
-		}
-		if sess, err := s.live.Get(id); err == nil {
-			sessions = append(sessions, sess)
+		default:
+			sessions = append(sessions, e.sess)
 		}
 	}
 	s.mu.Unlock()
@@ -547,63 +494,44 @@ func (s *store) stateCounts() map[string]int {
 	return counts
 }
 
-// listItem is one row of the store's session listing.
-type listItem struct {
-	id          string
-	idle        time.Duration
-	hydrated    bool
-	persisted   bool
-	persistErr  string
-	quarantined bool
-	quarReason  string
-	// sess is the resident session object, captured under the same lock
-	// hold that read hydrated. Re-resolving the id after list returns would
-	// race deletes and evictions, producing rows that claim a live session
-	// but carry none of its state; nil here means the row is disk-only.
-	sess *session.Session
-}
-
-// list snapshots up to limit known sessions, sorted by id for a stable
-// pagination order. Each row is internally consistent: hydrated is true iff
-// sess is the object that was resident at snapshot time (listing must not
-// refresh TTLs, so the capture bypasses get).
-func (s *store) list(limit int) (items []listItem, total int) {
-	now := time.Now()
+// list snapshots up to limit known sessions as copies of their entries,
+// sorted by id for a stable pagination order. Each copy carries the session
+// object that was resident at snapshot time (nil: disk only), so a delete
+// or eviction after list returns cannot strip a row of its state. Listing
+// must not refresh TTLs, so it bypasses get.
+func (s *store) list(limit int) (rows []entry, total int) {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.meta))
-	for id := range s.meta {
+	defer s.mu.Unlock()
+	ids := make([]string, 0, len(s.entries))
+	for id := range s.entries {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	total = len(ids)
 	if limit > 0 && limit < len(ids) {
 		ids = ids[:limit]
 	}
-	items = make([]listItem, 0, len(ids))
-	for _, id := range ids {
-		m := s.meta[id]
-		it := listItem{
-			id:          id,
-			idle:        now.Sub(m.lastUsed),
-			hydrated:    m.hydrated,
-			persisted:   m.persisted,
-			persistErr:  m.lastErr,
-			quarantined: m.quarantined,
-			quarReason:  m.quarantineReason,
+	rows = make([]entry, len(ids))
+	for i, id := range ids {
+		rows[i] = *s.entries[id]
+	}
+	return rows, len(s.entries)
+}
+
+// persistDirty synchronously persists every resident session still marked
+// dirty — the stragglers the persister queue never saw (a markDirty racing
+// a flush or the shutdown drain).
+func (s *store) persistDirty() {
+	s.mu.Lock()
+	var pending []string
+	for id, e := range s.entries {
+		if e.dirty() {
+			pending = append(pending, id)
 		}
-		if it.hydrated {
-			if sess, err := s.live.Get(id); err == nil {
-				it.sess = sess
-			} else {
-				// add registers meta before the memory tier holds the
-				// session; in that window the row is not usefully live yet.
-				it.hydrated = false
-			}
-		}
-		items = append(items, it)
 	}
 	s.mu.Unlock()
-	return items, total
+	for _, id := range pending {
+		_ = s.persistOne(id)
+	}
 }
 
 // flush pushes every pending durable write to the backend and syncs it —
@@ -613,19 +541,7 @@ func (s *store) flush() {
 		return
 	}
 	s.bg.flush()
-	// Catch stragglers the queue never saw (e.g. a markDirty racing the
-	// flush): persist anything still marked dirty, synchronously.
-	s.mu.Lock()
-	var pending []string
-	for id, m := range s.meta {
-		if m.hydrated && (!m.persisted || m.dirtyGen > m.persistedGen) {
-			pending = append(pending, id)
-		}
-	}
-	s.mu.Unlock()
-	for _, id := range pending {
-		_ = s.persistOne(id)
-	}
+	s.persistDirty()
 	_ = s.disk.Flush()
 }
 
@@ -648,8 +564,8 @@ func (s *store) quarantinedCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, m := range s.meta {
-		if m.quarantined {
+	for _, e := range s.entries {
+		if e.quarantined {
 			n++
 		}
 	}
@@ -673,19 +589,7 @@ func (s *store) close() {
 					"count", len(left), "sessions", left,
 					"timeout", s.closeTimeout.String())
 			} else {
-				// Catch stragglers the queue never saw (a markDirty racing
-				// the drain), then sync the backend.
-				s.mu.Lock()
-				var pending []string
-				for id, m := range s.meta {
-					if m.hydrated && (!m.persisted || m.dirtyGen > m.persistedGen) {
-						pending = append(pending, id)
-					}
-				}
-				s.mu.Unlock()
-				for _, id := range pending {
-					_ = s.persistOne(id)
-				}
+				s.persistDirty()
 			}
 			// Flush and close under what remains of the deadline: both can
 			// block indefinitely on a wedged backend.
@@ -707,10 +611,9 @@ func (s *store) close() {
 			}
 		}
 		s.mu.Lock()
-		s.meta = make(map[string]*meta)
-		s.hydrated = 0
+		s.entries = make(map[string]*entry)
+		s.resident = 0
 		s.mu.Unlock()
-		_ = s.live.Close()
 	})
 }
 
@@ -741,28 +644,23 @@ func (s *store) janitor() {
 	}
 }
 
-// evictIdle moves idle live sessions out of memory: dropped for good in
+// evictIdle moves idle resident sessions out of memory: dropped for good in
 // memory-only mode (the original TTL semantics), persisted to the durable
-// backend and released otherwise — the memory tier is then just a cache.
+// backend and released otherwise — memory is then just a cache.
 func (s *store) evictIdle(now time.Time) {
 	s.mu.Lock()
 	var idle []string
-	for id, m := range s.meta {
-		if m.hydrated && now.Sub(m.lastUsed) > s.ttl {
+	for id, e := range s.entries {
+		if e.sess != nil && e.pins == 0 && now.Sub(e.lastUsed) > s.ttl {
 			idle = append(idle, id)
 		}
 	}
 	if s.disk == nil {
 		for _, id := range idle {
-			if m := s.meta[id]; m != nil && m.hydrated {
-				s.hydrated--
-			}
-			delete(s.meta, id)
+			delete(s.entries, id)
 		}
+		s.resident -= len(idle)
 		s.mu.Unlock()
-		for _, id := range idle {
-			_ = s.live.Delete(id)
-		}
 		return
 	}
 	s.mu.Unlock()
@@ -773,7 +671,8 @@ func (s *store) evictIdle(now time.Time) {
 
 // evictToDisk persists one idle session and releases its memory, unless it
 // became active (or accepted answers) while we were writing — then it stays
-// live and the next sweep retries. While the durable tier is degraded the
+// resident and the next sweep retries. A pinned session is never released:
+// an operation is still using it. While the durable tier is degraded the
 // janitor does not touch the backend at all: eviction switches to
 // refuse-instead-of-drop, so acked answers are never lost to a broken disk,
 // and the retry loop (not the janitor) owns getting them durable.
@@ -785,28 +684,25 @@ func (s *store) evictToDisk(id string, now time.Time) {
 	}
 	_ = s.persistOne(id)
 	s.mu.Lock()
-	m := s.meta[id]
-	if m == nil || !m.hydrated {
+	e := s.entries[id]
+	switch {
+	case e == nil || e.sess == nil || now.Sub(e.lastUsed) <= s.ttl:
+		// Gone, already on disk, or touched while persisting.
 		s.mu.Unlock()
-		return
-	}
-	if now.Sub(m.lastUsed) <= s.ttl {
-		s.mu.Unlock()
-		return // touched while persisting
-	}
-	if !m.persisted || m.dirtyGen > m.persistedGen {
-		// Persist failed or raced an answer: the session must stay live, and
-		// the retry loop must own it — without the re-enqueue nothing would
-		// try again until the next accepted answer.
+	case e.dirty():
+		// Persist failed or raced an answer: the session must stay resident,
+		// and the retry loop must own it — without the re-enqueue nothing
+		// would try again until the next accepted answer.
 		s.mu.Unlock()
 		s.evictionsRefused.Add(1)
 		s.bg.enqueue(id)
-		return
+	case e.pins > 0:
+		s.mu.Unlock()
+	default:
+		e.sess = nil
+		s.resident--
+		s.mu.Unlock()
+		s.evictions.Add(1)
+		s.log.Debug("store: idle session evicted to disk", "session", id)
 	}
-	m.hydrated = false
-	s.hydrated--
-	_ = s.live.Delete(id)
-	s.mu.Unlock()
-	s.evictions.Add(1)
-	s.log.Debug("store: idle session evicted to disk", "session", id)
 }

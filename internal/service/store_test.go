@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
+	"crowdtopk/internal/crowd"
+	"crowdtopk/internal/dataset"
 	"crowdtopk/internal/dist"
 	"crowdtopk/internal/obs"
 	"crowdtopk/internal/persist"
@@ -47,14 +51,17 @@ func newDiskStore(t *testing.T) *store {
 	return st
 }
 
-// TestMarkDirtyReattachesEvictedSession pins the stale-handler path: a
-// request handler that held the session across a TTL eviction can still
-// accept an answer, and the dirty hook must bring that very object back into
-// the memory tier so the acked answer reaches the durable backend.
-func TestMarkDirtyReattachesEvictedSession(t *testing.T) {
+// TestEvictionRefusedForPinnedSession pins the held-session rule: an
+// operation that got a session keeps it resident until it releases it, so an
+// answer accepted mid-operation lands on the registered object and reaches
+// the durable backend.
+func TestEvictionRefusedForPinnedSession(t *testing.T) {
 	st := newDiskStore(t)
-	sess := storeTestSession(t)
-	id, err := st.add(sess)
+	id, err := st.add(storeTestSession(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := st.get(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,20 +69,15 @@ func TestMarkDirtyReattachesEvictedSession(t *testing.T) {
 	if err != nil || len(qs) == 0 {
 		t.Fatalf("no question issued (err %v)", err)
 	}
+	st.flush()
 	st.evictToDisk(id, time.Now().Add(time.Hour))
-	if n := st.len(); n != 0 {
-		t.Fatalf("session not evicted: %d live", n)
+	if n := st.len(); n != 1 {
+		t.Fatalf("held session evicted: %d resident", n)
 	}
-	// The held handler's answer lands on the evicted object.
 	if err := sess.SubmitAnswer(tpo.Answer{Q: qs[0], Yes: true}); err != nil {
 		t.Fatal(err)
 	}
-	if n := st.len(); n != 1 {
-		t.Fatalf("dirty hook did not re-attach: %d live", n)
-	}
-	if cur, err := st.live.Get(id); err != nil || cur != sess {
-		t.Fatalf("memory tier holds %p (err %v), want the answering object %p", cur, err, sess)
-	}
+	st.release(id)
 	// The answer is durable: a restore from the backend sees it.
 	st.flush()
 	re, err := st.disk.Get(id)
@@ -83,40 +85,57 @@ func TestMarkDirtyReattachesEvictedSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := re.Status().Asked, sess.Status().Asked; got != want || want == 0 {
-		t.Fatalf("restored session has %d answers, live fork has %d", got, want)
+		t.Fatalf("restored session has %d answers, held one has %d", got, want)
+	}
+	// Released, clean and idle: now it may go.
+	st.evictToDisk(id, time.Now().Add(time.Hour))
+	if n := st.len(); n != 0 {
+		t.Fatalf("released session not evicted: %d resident", n)
 	}
 }
 
-// TestMarkDirtyResolvesHydrationFork covers the race the plain re-attach
-// misses: after the eviction, a lazy hydration loads a second object for the
-// same id from disk; the held handler then accepts an answer on the original.
-// Two forks now exist and the resident one is missing an acked answer — the
-// store must swap the fork with more accepted progress back in, or the
-// durable write triggered by the answer would persist a copy without it.
-func TestMarkDirtyResolvesHydrationFork(t *testing.T) {
+// TestEvictionRefusedForPinnedHydration covers the hydration path: a get on
+// a disk-only session makes a fresh object resident and pinned, eviction
+// leaves it alone until release, and later gets return that same object
+// rather than a second copy.
+func TestEvictionRefusedForPinnedHydration(t *testing.T) {
 	st := newDiskStore(t)
 	sess := storeTestSession(t)
 	id, err := st.add(sess)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, _, err := sess.NextQuestions(1)
-	if err != nil || len(qs) == 0 {
-		t.Fatalf("no question issued (err %v)", err)
-	}
+	st.flush()
 	st.evictToDisk(id, time.Now().Add(time.Hour))
-	cur, err := st.get(context.Background(), id) // lazy hydration: a distinct object for the same id
+	if n := st.len(); n != 0 {
+		t.Fatalf("session not evicted: %d resident", n)
+	}
+	cur, err := st.get(context.Background(), id) // lazy hydration
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cur == sess {
-		t.Fatal("hydration returned the evicted object; fork not reproduced")
+		t.Fatal("hydration returned the evicted object")
 	}
-	if err := sess.SubmitAnswer(tpo.Answer{Q: qs[0], Yes: true}); err != nil {
+	st.evictToDisk(id, time.Now().Add(time.Hour))
+	if n := st.len(); n != 1 {
+		t.Fatalf("held hydrated session evicted: %d resident", n)
+	}
+	qs, _, err := cur.NextQuestions(1)
+	if err != nil || len(qs) == 0 {
+		t.Fatalf("no question issued (err %v)", err)
+	}
+	if err := cur.SubmitAnswer(tpo.Answer{Q: qs[0], Yes: true}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := st.live.Get(id); err != nil || got != sess {
-		t.Fatalf("store kept the stale hydrated fork (err %v)", err)
+	st.release(id)
+	again, err := st.get(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.release(id)
+	if again != cur {
+		t.Fatal("second get returned a different object for the same id")
 	}
 	st.flush()
 	re, err := st.disk.Get(id)
@@ -128,11 +147,73 @@ func TestMarkDirtyResolvesHydrationFork(t *testing.T) {
 	}
 }
 
-// TestListRowsInternallyConsistent pins the listing snapshot semantics: the
-// session object is captured under the same lock hold that read the
-// hydration flag, so rows can neither claim a live session they cannot show
-// (meta present, memory tier empty) nor lose an already-captured one to a
-// concurrent delete.
+// TestHydrationIsBitExact: a noisy session evicted after its initial
+// snapshot and re-hydrated before every answer (snapshot plus WAL replay)
+// stays byte-identical to a copy that never left memory.
+func TestHydrationIsBitExact(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		ds, err := dataset.Generate(dataset.Spec{N: 10, Width: 2.2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := crowd.SampleTruth(ds, rand.New(rand.NewSource(seed)))
+		cr, err := crowd.NewUniformPlatform(truth, 1, 0.8, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := session.New(session.Config{Dists: ds, K: 3, Budget: 20, Reliability: 0.8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := newDiskStore(t)
+		id, err := st.add(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ; i++ {
+			// Hand the registry's object back to disk; live stays in memory.
+			st.flush()
+			st.evictToDisk(id, time.Now().Add(time.Hour))
+			if n := st.len(); n != 0 {
+				t.Fatalf("seed %d: session not evicted: %d resident", seed, n)
+			}
+			hyd, err := st.get(context.Background(), id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var a, b bytes.Buffer
+			if err := live.Checkpoint(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := hyd.Checkpoint(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("seed %d: hydrated session diverges from the live one after %d answers", seed, i)
+			}
+			qs, _, err := live.NextQuestions(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(qs) == 0 {
+				st.release(id)
+				break
+			}
+			ans := cr.Ask(qs[0])
+			if err := live.SubmitAnswer(ans); err != nil {
+				t.Fatal(err)
+			}
+			if err := hyd.SubmitAnswer(ans); err != nil {
+				t.Fatalf("seed %d: hydrated session rejects answer %d: %v", seed, i, err)
+			}
+			st.release(id)
+		}
+	}
+}
+
+// TestListRowsInternallyConsistent pins the listing snapshot semantics: each
+// row is a copy of the entry taken under the store lock, so a concurrent
+// delete cannot strip an already-captured row of its session.
 func TestListRowsInternallyConsistent(t *testing.T) {
 	st, err := newStore(time.Minute, 0, nil, obs.NopLogger(), 0, nil)
 	if err != nil {
@@ -146,34 +227,14 @@ func TestListRowsInternallyConsistent(t *testing.T) {
 	}
 
 	items, total := st.list(0)
-	if total != 1 || len(items) != 1 || !items[0].hydrated || items[0].sess != sess {
+	if total != 1 || len(items) != 1 || items[0].sess != sess {
 		t.Fatalf("live row not captured: total %d, items %+v", total, items)
-	}
-
-	// A meta entry whose session is not (yet) in the memory tier — the add
-	// window, or a racing delete — must not be listed as hydrated.
-	st.mu.Lock()
-	st.meta["s_ghost"] = &meta{lastUsed: time.Now(), hydrated: true}
-	st.hydrated++
-	st.mu.Unlock()
-	items, _ = st.list(0)
-	found := false
-	for _, it := range items {
-		if it.id == "s_ghost" {
-			found = true
-			if it.hydrated || it.sess != nil {
-				t.Fatalf("ghost row claims a live session: %+v", it)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("ghost row missing from listing")
 	}
 
 	// A delete after the snapshot cannot invalidate a captured row: the
 	// handler can still read consistent state off it.
 	items, _ = st.list(0)
-	var row listItem
+	var row entry
 	for _, it := range items {
 		if it.id == id {
 			row = it

@@ -97,7 +97,7 @@ func (s *Session) Checkpoint(w io.Writer) error {
 		return fmt.Errorf("session: checkpoint: %w", err)
 	}
 	var leaves bytes.Buffer
-	if err := s.tree.LeafSet().WriteCheckpoint(&leaves, s.digest); err != nil {
+	if err := s.tree.Posteriors().WriteCheckpoint(&leaves, s.digest); err != nil {
 		return fmt.Errorf("session: checkpoint: %w", err)
 	}
 	env := envelope{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -231,6 +232,64 @@ func TestSessionCheckpointRestoreMidQuery(t *testing.T) {
 			}
 			if got.State != want.State {
 				t.Fatalf("state = %s, want %s", got.State, want.State)
+			}
+		})
+	}
+}
+
+// TestRestoreIsBitExact: a noisy session restored from its asked=0
+// checkpoint and fed the same answers as the live one stays byte-identical
+// to it after every answer. The checkpoint carries the tree's posteriors
+// verbatim, so restore-then-replay follows the live tree's floating-point
+// path exactly; a restore that renormalizes drifts by a few ulps, and noisy
+// reweights amplify that into a different question choice.
+func TestRestoreIsBitExact(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		seed := seed
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			ds := testDists(t, 10, seed)
+			truth := crowd.SampleTruth(ds, rand.New(rand.NewSource(seed)))
+			cr, err := crowd.NewUniformPlatform(truth, 1, 0.8, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := New(Config{Dists: ds, K: 3, Budget: 20, Reliability: 0.8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap bytes.Buffer
+			if err := live.Checkpoint(&snap); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := Restore(&snap, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; ; i++ {
+				var a, b bytes.Buffer
+				if err := live.Checkpoint(&a); err != nil {
+					t.Fatal(err)
+				}
+				if err := restored.Checkpoint(&b); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a.Bytes(), b.Bytes()) {
+					t.Fatalf("restored checkpoint diverges from the live one after %d answers", i)
+				}
+				qs, _, err := live.NextQuestions(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(qs) == 0 {
+					break
+				}
+				ans := cr.Ask(qs[0])
+				if err := live.SubmitAnswer(ans); err != nil {
+					t.Fatal(err)
+				}
+				if err := restored.SubmitAnswer(ans); err != nil {
+					t.Fatalf("restored copy rejects answer %d: %v", i, err)
+				}
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"crowdtopk/internal/dist"
 )
@@ -65,7 +66,9 @@ func (ls *LeafSet) WriteCheckpoint(w io.Writer, datasetDigest string) error {
 // the envelope before touching the payload: the schema version must equal
 // CheckpointSchema and, when wantDatasetDigest is non-empty, the recorded
 // dataset digest must match it exactly. Mismatches return a *MismatchError;
-// malformed payloads return the leaf-set decoder's errors.
+// malformed payloads return the leaf-set decoder's errors. Weights come
+// back exactly as written (not renormalized), so a Posteriors snapshot
+// round-trips bit for bit.
 func ReadCheckpoint(r io.Reader, wantDatasetDigest string) (*LeafSet, error) {
 	var env checkpointJSON
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
@@ -80,24 +83,25 @@ func ReadCheckpoint(r io.Reader, wantDatasetDigest string) (*LeafSet, error) {
 	if wantDatasetDigest != "" && env.Dataset != wantDatasetDigest {
 		return nil, &MismatchError{Field: "dataset digest", Want: wantDatasetDigest, Got: env.Dataset}
 	}
-	return ReadLeafSetJSON(bytes.NewReader(env.Leaves))
+	return decodeLeafSet(bytes.NewReader(env.Leaves))
 }
 
 // FromLeafSet reconstructs a live tree from a leaf-set snapshot and the
 // score model it was computed from: the trie of the snapshot's paths with
-// the snapshot's (normalized) weights as leaf posteriors, over a freshly
-// prepared evaluation grid. It is the restore half of session checkpointing
-// — the returned tree prunes, reweights and (for partially built incr trees,
+// the snapshot's weights as leaf posteriors, over a freshly prepared
+// evaluation grid. It is the restore half of session checkpointing — the
+// returned tree prunes, reweights and (for partially built incr trees,
 // ls.K < k) extends exactly as the original would.
 //
 // Paths are inserted in snapshot order and children appended in first-
 // appearance order, which reproduces the original tree's leaf enumeration
-// order exactly; downstream float summations (residual sweeps, measure
-// values) therefore run over the same operands in the same order. Weights
-// agree with the original tree's up to renormalization rounding (a few
-// ulps — LeafSet snapshots are normalized, in-tree posteriors only nearly
-// so), which never moves a ranking or a question choice: all selection
-// tie-breaks use epsilon comparisons.
+// order exactly. Weights that already sum to one within posteriorSlack (a
+// Posteriors snapshot of a live tree) are kept verbatim and the internal
+// sums are rebuilt without dividing, so the restored tree is bit-identical
+// to the original: a rescale by a total a few ulps off one would shift the
+// posteriors, and under noisy reweights such drift does flip question
+// choices. Any other positive mass (hand-built or foreign input) is
+// rescaled to one; a set without positive mass is rejected.
 func FromLeafSet(ds []dist.Distribution, k int, ls *LeafSet, opt BuildOptions) (*Tree, error) {
 	if ls == nil || ls.Len() == 0 {
 		return nil, fmt.Errorf("%w: empty leaf set", ErrInvalidInput)
@@ -138,8 +142,18 @@ func FromLeafSet(ds []dist.Distribution, k int, ls *LeafSet, opt BuildOptions) (
 		}
 		n.Prob += ls.W[i]
 	}
-	if err := t.renormalize(); err != nil {
-		return nil, err
+	total := t.LeafMass()
+	if !(total > 0) || math.IsInf(total, 0) {
+		return nil, fmt.Errorf("%w: leaf set has no usable probability mass (%g)", ErrInvalidInput, total)
 	}
+	if math.Abs(total-1) <= posteriorSlack {
+		total = 1
+	}
+	t.resum(total)
 	return t, nil
 }
+
+// posteriorSlack bounds how far from one the leaf mass of a live tree's
+// posteriors can drift through renormalization rounding; FromLeafSet keeps
+// weights within it verbatim.
+const posteriorSlack = 1e-9

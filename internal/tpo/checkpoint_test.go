@@ -218,3 +218,55 @@ func TestFromLeafSetRejectsBadInput(t *testing.T) {
 		t.Fatalf("out-of-range tuple id: %v", err)
 	}
 }
+
+// TestFromLeafSetKeepsPosteriors: a tree rebuilt from its own Posteriors
+// snapshot after a noisy reweight holds the identical posteriors, bit for
+// bit, and stays identical under the next reweight; leaf sets without
+// positive mass are rejected.
+func TestFromLeafSetKeepsPosteriors(t *testing.T) {
+	// Eight tuples: after this reweight the leaf mass is 1+2⁻⁵², so a
+	// restore that rescales would move every posterior.
+	ds := checkpointDists(t, 8)
+	orig, err := Build(ds, 3, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := orig.Reweight(Answer{Q: NewQuestion(1, 4), Yes: true}, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := FromLeafSet(ds, 3, orig.Posteriors(), BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	a := Answer{Q: NewQuestion(0, 3), Yes: false}
+	for step := 0; step < 2; step++ {
+		ow, rw := orig.Posteriors().W, restored.Posteriors().W
+		if len(ow) != len(rw) {
+			t.Fatalf("step %d: %d leaves vs %d", step, len(ow), len(rw))
+		}
+		for i := range ow {
+			if ow[i] != rw[i] {
+				t.Fatalf("step %d: leaf %d posterior %v vs %v", step, i, ow[i], rw[i])
+			}
+		}
+		if err := orig.Reweight(a, 0.8); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Reweight(a, 0.8); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, w := range []float64{0, math.NaN()} {
+		bad := orig.Posteriors()
+		for i := range bad.W {
+			bad.W[i] = w
+		}
+		if _, err := FromLeafSet(ds, 3, bad, BuildOptions{}); !errors.Is(err, ErrInvalidInput) {
+			t.Fatalf("weights all %v: %v, want ErrInvalidInput", w, err)
+		}
+	}
+}

@@ -135,6 +135,15 @@ type LeafSet struct {
 // one contiguous backing array (one allocation instead of one per leaf);
 // mutating the result does not affect the tree.
 func (t *Tree) LeafSet() *LeafSet {
+	ls := t.Posteriors()
+	numeric.Normalize(ls.W)
+	return ls
+}
+
+// Posteriors is LeafSet without the final normalization: the weights are
+// the in-tree leaf posteriors bit for bit. Session checkpoints carry this
+// form so FromLeafSet can rebuild a tree identical to this one.
+func (t *Tree) Posteriors() *LeafSet {
 	ls := &LeafSet{K: t.depth}
 	n := 0
 	t.walkLeaves(func(*Node, rank.Ordering) { n++ })
@@ -148,7 +157,6 @@ func (t *Tree) LeafSet() *LeafSet {
 	for i := 0; i < n; i++ {
 		ls.Paths = append(ls.Paths, rank.Ordering(ls.flat[i*t.depth:(i+1)*t.depth:(i+1)*t.depth]))
 	}
-	numeric.Normalize(ls.W)
 	return ls
 }
 
@@ -301,10 +309,20 @@ func (t *Tree) renormalize() error {
 	if total <= 0 {
 		return ErrContradiction
 	}
+	t.resum(total)
+	return nil
+}
+
+// resum divides every leaf probability by total (total 1 leaves the leaves
+// untouched) and recomputes internal node probabilities as the sum of their
+// children, dropping zero-probability subtrees. The root is pinned to 1.
+func (t *Tree) resum(total float64) {
 	var rec func(n *Node) float64
 	rec = func(n *Node) float64 {
 		if n.depth == t.depth {
-			n.Prob /= total
+			if total != 1 {
+				n.Prob /= total
+			}
 			return n.Prob
 		}
 		sum := 0.0
@@ -322,7 +340,6 @@ func (t *Tree) renormalize() error {
 	}
 	rec(t.Root)
 	t.Root.Prob = 1
-	return nil
 }
 
 // Validate checks structural invariants: node depths, children probability

@@ -8,7 +8,7 @@
 // backs `crowdtopk serve`, so embedders get the full production behavior,
 // not a toy: a concurrency-safe session store with TTL eviction, a shared
 // worker budget across all sessions' tree builds, load shedding at the
-// session cap, and — with Options.Storage — the durable two-tier store
+// session cap, and — with Options.Storage — a durable file store behind it
 // (write-ahead-logged answers, snapshot compaction, lazy hydration,
 // eviction-to-disk, crash recovery on reopen). The parity suite in
 // internal/server drives the HTTP e2e tests against this package too, so
