@@ -66,7 +66,7 @@ func (ls *LeafSet) WriteCheckpoint(w io.Writer, datasetDigest string) error {
 // the envelope before touching the payload: the schema version must equal
 // CheckpointSchema and, when wantDatasetDigest is non-empty, the recorded
 // dataset digest must match it exactly. Mismatches return a *MismatchError;
-// malformed payloads return the leaf-set decoder's errors. Weights come
+// malformed payloads return ReadLeafSetJSON's errors. Weights come
 // back exactly as written (not renormalized), so a Posteriors snapshot
 // round-trips bit for bit.
 func ReadCheckpoint(r io.Reader, wantDatasetDigest string) (*LeafSet, error) {
@@ -83,7 +83,7 @@ func ReadCheckpoint(r io.Reader, wantDatasetDigest string) (*LeafSet, error) {
 	if wantDatasetDigest != "" && env.Dataset != wantDatasetDigest {
 		return nil, &MismatchError{Field: "dataset digest", Want: wantDatasetDigest, Got: env.Dataset}
 	}
-	return decodeLeafSet(bytes.NewReader(env.Leaves))
+	return ReadLeafSetJSON(bytes.NewReader(env.Leaves))
 }
 
 // FromLeafSet reconstructs a live tree from a leaf-set snapshot and the

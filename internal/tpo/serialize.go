@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"crowdtopk/internal/numeric"
 	"crowdtopk/internal/rank"
 )
 
@@ -29,20 +28,9 @@ func (ls *LeafSet) WriteJSON(w io.Writer) error {
 }
 
 // ReadLeafSetJSON loads a leaf set written by WriteJSON, validating that
-// weights are non-negative, paths are duplicate-free and lengths agree, and
-// normalizes the weights.
+// weights are non-negative, paths are duplicate-free and lengths agree.
+// Weights come back exactly as written, not renormalized.
 func ReadLeafSetJSON(r io.Reader) (*LeafSet, error) {
-	ls, err := decodeLeafSet(r)
-	if err != nil {
-		return nil, err
-	}
-	numeric.Normalize(ls.W)
-	return ls, nil
-}
-
-// decodeLeafSet is ReadLeafSetJSON without the normalization: the weights
-// are returned exactly as written.
-func decodeLeafSet(r io.Reader) (*LeafSet, error) {
 	var in leafSetJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("tpo: decoding leaf set: %w", err)
